@@ -48,6 +48,7 @@ import numpy as np
 import repro.telemetry as telemetry
 from repro.cluster.durability.wal import MIGRATION_STRATEGY, PHASE_MIGRATION
 from repro.errors import ClusterError, ConfigError
+from repro.storage.catalog import row_tuples
 from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
@@ -322,7 +323,7 @@ class ShardMigrator:
             snap_rows = np.flatnonzero(mask)
             if not len(snap_rows):
                 continue
-            values = [table.read_row(int(r)) for r in snap_rows]
+            values = row_tuples(table, mask)
             src_table = src_engine.db.table(name)
             src_keys = np.asarray(
                 src_table.column_array(pk_col), dtype=np.int64

@@ -79,7 +79,7 @@ from repro.core.txn import ResultPool, Transaction, TransactionPool, TxnResult
 from repro.errors import ClusterError, RecoveryError, ShardFailure
 from repro.gpu.costmodel import TimeBreakdown
 from repro.gpu.spec import C1060, GPUSpec
-from repro.storage.catalog import Database
+from repro.storage.catalog import Database, row_tuples
 
 #: Breakdown phases specific to the cluster runtime.
 PHASE_COORDINATOR = "coordinator"
@@ -1167,11 +1167,7 @@ class ClusterTx:
         """
         def live_rows(db: Database, name: str) -> List[Tuple[Any, ...]]:
             table = db.table(name)
-            rows = [
-                table.read_row(r)
-                for r in range(table.n_rows)
-                if not table.is_deleted(r)
-            ]
+            rows = row_tuples(table, ~table.deleted_mask())
             rows.sort(key=repr)
             return rows
 
@@ -1207,11 +1203,7 @@ class ClusterTx:
             rows: List[Tuple[Any, ...]] = []
             for source in sources:
                 src_table = source.table(name)
-                rows.extend(
-                    src_table.read_row(r)
-                    for r in range(src_table.n_rows)
-                    if not src_table.is_deleted(r)
-                )
+                rows.extend(row_tuples(src_table, ~src_table.deleted_mask()))
             rows.sort(key=repr)
             state[name] = rows
         return state

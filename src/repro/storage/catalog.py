@@ -11,7 +11,6 @@ batched apply (Section 3.2).
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,6 +38,17 @@ def static_map_cost_base(map_name: str, key: Any) -> int:
     Shared by the SIMT adapter path and the vectorized backend.
     """
     return (hash((map_name, key)) & 0xFFFFFF) * 16
+
+
+def row_tuples(
+    table: Table, live: Optional[np.ndarray] = None
+) -> List[Tuple[Any, ...]]:
+    """The rows ``live`` selects as tuples, in row order: ``read_row``
+    per row, built column-wise (``live=None`` includes tombstoned rows).
+    """
+    names = table.schema.column_names
+    rows = table.materialize(names, live)
+    return rows if len(names) != 1 else [(value,) for value in rows]
 
 
 class Database:
@@ -85,10 +95,10 @@ class Database:
             index = HashIndex(name, table, tuple(columns))
         else:
             index = MultiHashIndex(name, table, tuple(columns))
-        # Build over existing rows.
-        for row in range(tbl.n_rows):
-            if not tbl.is_deleted(row):
-                index.insert(self._key_of(tbl, index.columns, row), row)
+        # Build over the live rows, one column pass per key column.
+        live = ~tbl.deleted_mask()
+        index.load(tbl.materialize(index.columns, live),
+                   np.flatnonzero(live).tolist())
         self.indexes[name] = index
         return index
 
@@ -159,12 +169,8 @@ class Database:
         other = Database(self.layout)
         for name in self._table_order:
             table = self.tables[name]
-            clone = other.create_table(table.schema, capacity=max(table.n_rows, 64))
-            rows = [table.read_row(r) for r in range(table.n_rows)]
-            clone.append_rows(rows)
-            for r in range(table.n_rows):
-                if table.is_deleted(r):
-                    clone.mark_deleted(r)
+            other.tables[name] = table.copy(capacity=max(table.n_rows, 64))
+            other._table_order.append(name)
         for ix in self.indexes.values():
             other.create_index(ix.name, ix.table, ix.columns, unique=ix.unique)
         for name, mapping in self.static_maps.items():
@@ -209,13 +215,10 @@ class Database:
         layer guarantees between a promoted replica and the failed
         shard's last durable state.
         """
-        state: Dict[str, List[Tuple[Tuple[Any, ...], bool]]] = {}
-        for name, table in self.tables.items():
-            state[name] = [
-                (table.read_row(r), table.is_deleted(r))
-                for r in range(table.n_rows)
-            ]
-        return state
+        return {
+            name: list(zip(row_tuples(table), table.deleted_mask().tolist()))
+            for name, table in self.tables.items()
+        }
 
     def logical_state(self) -> Dict[str, List[Tuple[Any, ...]]]:
         """Canonical content per table: sorted live row tuples.
@@ -227,11 +230,7 @@ class Database:
         """
         state: Dict[str, List[Tuple[Any, ...]]] = {}
         for name, table in self.tables.items():
-            rows = [
-                table.read_row(r)
-                for r in range(table.n_rows)
-                if not table.is_deleted(r)
-            ]
+            rows = row_tuples(table, ~table.deleted_mask())
             rows.sort(key=repr)
             state[name] = rows
         return state

@@ -13,7 +13,7 @@ batches by the catalog's insert buffer after kernel completion.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,37 @@ from repro.storage.schema import ColumnDef, DataType, TableSchema
 
 _GROWTH = 1.5
 _MIN_CAPACITY = 64
+
+
+def _regrown(data: np.ndarray, used: int, needed: int) -> np.ndarray:
+    """A copy of ``data[:used]`` in a fresh array holding >= ``needed``.
+
+    Capacity grows geometrically (1.5x, floor :data:`_MIN_CAPACITY`),
+    so a run of small appends copies each element O(1) times amortised.
+    The one growth policy for column arrays and the tombstone bitmap;
+    object arrays grow with ``None`` slots, typed ones with zeros.
+    """
+    new_cap = max(needed, int(len(data) * _GROWTH) + 1, _MIN_CAPACITY)
+    if data.dtype == object:
+        grown = np.empty(new_cap, dtype=object)
+    else:
+        grown = np.zeros(new_cap, dtype=data.dtype)
+    grown[:used] = data[:used]
+    return grown
+
+
+#: Rows per block when :meth:`ColumnTable.materialize` zips row tuples.
+_MATERIALIZE_BLOCK = 4096
+
+
+def _python_values(data: np.ndarray, live: Optional[np.ndarray]) -> List[Any]:
+    """``data`` (masked by ``live``) as a list of Python values."""
+    values = (data if live is None else data[live]).tolist()
+    if data.dtype == object:
+        # Object cells keep numpy scalars a caller wrote directly;
+        # read() hands them out as Python values.
+        values = [v.item() if isinstance(v, np.generic) else v for v in values]
+    return values
 
 
 class _Column:
@@ -49,16 +80,9 @@ class _Column:
             self.shared = False
 
     def ensure_capacity(self, n: int) -> None:
-        cap = len(self.data)
-        if n <= cap:
+        if n <= len(self.data):
             return
-        new_cap = max(n, int(cap * _GROWTH) + 1, _MIN_CAPACITY)
-        if self.definition.is_string:
-            grown = np.empty(new_cap, dtype=object)
-        else:
-            grown = np.zeros(new_cap, dtype=self.data.dtype)
-        grown[: self.size] = self.data[: self.size]
-        self.data = grown
+        self.data = _regrown(self.data, self.size, n)
         self.shared = False
 
 
@@ -104,9 +128,29 @@ class ColumnTable:
         other.n_rows = self.n_rows
         return other
 
+    def copy(self, capacity: int) -> "ColumnTable":
+        """An independent copy of the rows and tombstones, with room
+        for ``capacity`` rows: one array copy per column, no per-cell
+        work. Unlike :meth:`fork`, nothing is shared, so neither side's
+        later writes pay for a deferred copy."""
+        other = ColumnTable(self.schema, max(capacity, self.n_rows))
+        n = self.n_rows
+        for name, col in self._columns.items():
+            twin = other._columns[name]
+            twin.data[:n] = col.data[:n]
+            twin.size = n
+        other._deleted[:n] = self._deleted[:n]
+        other.n_rows = n
+        return other
+
     def _prepare_deleted_write(self) -> None:
         if self._deleted_shared:
             self._deleted = self._deleted.copy()
+            self._deleted_shared = False
+
+    def _ensure_deleted_capacity(self, n: int) -> None:
+        if len(self._deleted) < n:
+            self._deleted = _regrown(self._deleted, self.n_rows, n)
             self._deleted_shared = False
 
     # ------------------------------------------------------------------
@@ -161,13 +205,7 @@ class ColumnTable:
             col.ensure_capacity(new_size)
             col.prepare_write()
             col.size = new_size
-        if len(self._deleted) < new_size:
-            grown = np.zeros(
-                max(new_size, int(len(self._deleted) * _GROWTH) + 1), dtype=bool
-            )
-            grown[: self.n_rows] = self._deleted[: self.n_rows]
-            self._deleted = grown
-            self._deleted_shared = False
+        self._ensure_deleted_capacity(new_size)
         for i, row in enumerate(rows):
             if len(row) != width:
                 raise StorageError(
@@ -198,11 +236,7 @@ class ColumnTable:
             col.prepare_write()
             col.data[start:new_size] = values
             col.size = new_size
-        if len(self._deleted) < new_size:
-            grown = np.zeros(new_size, dtype=bool)
-            grown[: self.n_rows] = self._deleted[: self.n_rows]
-            self._deleted = grown
-            self._deleted_shared = False
+        self._ensure_deleted_capacity(new_size)
         self.n_rows = new_size
 
     def mark_deleted(self, row: int) -> None:
@@ -279,6 +313,37 @@ class ColumnTable:
     def column_array(self, column: str) -> np.ndarray:
         """Direct (read-only by convention) view of a column's values."""
         return self._columns[column].data[: self.n_rows]
+
+    def materialize(
+        self, columns: Sequence[str], live: Optional[np.ndarray] = None
+    ) -> List[Any]:
+        """Python values of ``columns`` at the rows ``live`` selects.
+
+        The columnar counterpart of calling :meth:`read` per cell, with
+        identical element types: one ``tolist()`` pass per column (the
+        same Python scalars ``.item()`` gives), in row order. ``live``
+        is a boolean mask over the table's rows; ``None`` takes every
+        row, tombstoned ones included. One column gives a list of
+        scalars (the index-key form); several give row tuples, zipped
+        block by block so the per-column lists stay small next to the
+        result.
+        """
+        arrays = []
+        for name in columns:
+            try:
+                arrays.append(self._columns[name].data[: self.n_rows])
+            except KeyError:
+                raise StorageError(
+                    f"no column {name!r} in table {self.schema.name!r}"
+                ) from None
+        if len(arrays) == 1:
+            return _python_values(arrays[0], live)
+        rows: List[Any] = []
+        for start in range(0, self.n_rows, _MATERIALIZE_BLOCK):
+            block = slice(start, start + _MATERIALIZE_BLOCK)
+            mask = None if live is None else live[block]
+            rows.extend(zip(*[_python_values(a[block], mask) for a in arrays]))
+        return rows
 
     # ------------------------------------------------------------------
     # Bulk cell access (the vectorized execution backend's fast path).

@@ -19,7 +19,8 @@ header + entry), which is what the SIMT engine charges via
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+import bisect
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IndexError_
 
@@ -37,6 +38,11 @@ def _bucket_base(region: int, key: Any) -> int:
     have their own variant in ``repro.storage.catalog``).
     """
     return region + (hash(key) & 0xFFFFFF) * 16
+
+
+def _check_empty(index: Any) -> None:
+    if index._map:
+        raise IndexError_(f"bulk load into non-empty index {index.name!r}")
 
 
 class HashIndex:
@@ -63,6 +69,25 @@ class HashIndex:
                 f"duplicate key {key!r} in unique index {self.name!r}"
             )
         self._map[key] = row
+
+    def load(self, keys: Sequence[Any], rows: Sequence[int]) -> None:
+        """Fill an empty index from parallel ``keys`` / ``rows`` lists.
+
+        Same result as :meth:`insert` per pair in order -- including the
+        dict's iteration order and the error on the first key seen
+        twice -- built in one ``dict(zip(...))`` pass.
+        """
+        _check_empty(self)
+        mapping = dict(zip(keys, rows))
+        if len(mapping) != len(keys):
+            seen = set()
+            for key in keys:
+                if key in seen:
+                    raise IndexError_(
+                        f"duplicate key {key!r} in unique index {self.name!r}"
+                    )
+                seen.add(key)
+        self._map = mapping
 
     def remove(self, key: Any) -> None:
         if self._map.pop(key, None) is None:
@@ -115,9 +140,24 @@ class MultiHashIndex:
     def insert(self, key: Any, row: int) -> None:
         rows = self._map.setdefault(key, [])
         # Keep sorted for deterministic iteration.
-        import bisect
-
         bisect.insort(rows, row)
+
+    def load(self, keys: Sequence[Any], rows: Sequence[int]) -> None:
+        """Fill an empty index from parallel ``keys`` / ``rows`` lists.
+
+        ``rows`` must ascend (as a table scan yields them), so each
+        key's row list is built sorted by plain appends; the result,
+        dict order included, equals :meth:`insert` per pair in order.
+        """
+        _check_empty(self)
+        mapping: Dict[Any, List[int]] = {}
+        for key, row in zip(keys, rows):
+            bucket = mapping.get(key)
+            if bucket is None:
+                mapping[key] = [row]
+            else:
+                bucket.append(row)
+        self._map = mapping
 
     def remove(self, key: Any, row: Optional[int] = None) -> None:
         rows = self._map.get(key)

@@ -10,7 +10,9 @@ device memory -- a row store cannot leave cold columns on the host.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import StorageError
 from repro.storage.column_store import ColumnTable
@@ -37,9 +39,16 @@ class RowTable:
     # -- copy-on-write forking ------------------------------------------
     def fork(self) -> "RowTable":
         """A copy-on-write twin (same semantics as ColumnTable.fork)."""
+        return self._with_inner(self._inner.fork())
+
+    def copy(self, capacity: int) -> "RowTable":
+        """An independent copy (same semantics as ColumnTable.copy)."""
+        return self._with_inner(self._inner.copy(capacity))
+
+    def _with_inner(self, inner: ColumnTable) -> "RowTable":
         other = RowTable.__new__(RowTable)
         other.schema = self.schema
-        other._inner = self._inner.fork()
+        other._inner = inner
         other._offsets = self._offsets
         other._stride = self._stride
         return other
@@ -82,6 +91,11 @@ class RowTable:
 
     def deleted_mask(self):
         return self._inner.deleted_mask()
+
+    def materialize(
+        self, columns: Sequence[str], live: Optional[np.ndarray] = None
+    ) -> List[Any]:
+        return self._inner.materialize(columns, live)
 
     # -- row-major device layout ----------------------------------------
     def cell_address(self, column: str, row: int) -> Tuple[int, int]:

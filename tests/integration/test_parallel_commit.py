@@ -18,7 +18,7 @@ their home shards. These tests pin the observable contract:
 import pytest
 
 import repro.telemetry as telemetry
-from repro import ClusterTx
+from repro import ClusterOptions, ClusterTx
 from repro.core.txn import TransactionPool
 from repro.errors import ClusterError
 
@@ -37,7 +37,7 @@ def run_mode(specs, mode, n_shards=4):
         build_ledger_db(N_ACCOUNTS),
         procedures=LEDGER_PROCEDURES,
         n_shards=n_shards,
-        cross_shard=mode,
+        options=ClusterOptions(cross_shard=mode),
     )
     cluster.submit_many(specs)
     result = cluster.run_bulk(strategy="kset")

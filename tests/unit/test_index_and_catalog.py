@@ -32,6 +32,26 @@ class TestHashIndex:
         ix = HashIndex("i", "t", ("k",))
         assert len(ix.probe_cost_addresses("key")) == 2
 
+    def test_load_matches_per_pair_inserts(self):
+        keys, rows = [(1, "a"), (0, "b"), (2, "a")], [0, 3, 7]
+        loaded, inserted = HashIndex("i", "t", ("k",)), HashIndex("i", "t", ("k",))
+        loaded.load(keys, rows)
+        for key, row in zip(keys, rows):
+            inserted.insert(key, row)
+        assert list(loaded.items()) == list(inserted.items())
+
+    def test_load_names_first_repeated_key(self):
+        ix = HashIndex("i", "t", ("k",))
+        with pytest.raises(IndexError_, match=r"duplicate key 5 in unique"):
+            ix.load([4, 5, 6, 5, 4], [0, 1, 2, 3, 4])
+        assert len(ix) == 0
+
+    def test_load_into_non_empty_rejected(self):
+        ix = HashIndex("i", "t", ("k",))
+        ix.insert(1, 0)
+        with pytest.raises(IndexError_, match="non-empty"):
+            ix.load([2], [1])
+
     def test_device_bytes_scale_with_entries(self):
         ix = HashIndex("i", "t", ("k",))
         for k in range(100):
@@ -57,6 +77,16 @@ class TestMultiHashIndex:
         ix.remove("k", 2)
         assert ix.probe_all("k") == []
         assert "k" not in ix
+
+    def test_load_matches_per_pair_inserts(self):
+        keys, rows = ["b", "a", "b", "c", "a"], [1, 2, 4, 5, 9]
+        loaded = MultiHashIndex("i", "t", ("k",))
+        inserted = MultiHashIndex("i", "t", ("k",))
+        loaded.load(keys, rows)
+        for key, row in zip(keys, rows):
+            inserted.insert(key, row)
+        assert list(loaded.items()) == list(inserted.items())
+        assert loaded.probe_all("a") == [2, 9]
 
     def test_remove_missing_row_rejected(self):
         ix = MultiHashIndex("i", "t", ("k",))
@@ -142,6 +172,113 @@ class TestDatabase:
         assert report["total"] == sum(
             report[k] for k in ("tables", "indexes", "static_maps")
         )
+
+
+@pytest.fixture(params=["column", "row"])
+def layout(request):
+    return request.param
+
+
+def acct_with(layout, ids, owners, deleted=()):
+    """An ``acct`` table (no indexes yet) with the given rows."""
+    db = Database(layout)
+    table = db.create_table(
+        TableSchema(
+            "acct",
+            [
+                ColumnDef("id", DataType.INT64),
+                ColumnDef("owner", DataType.CHAR, length=4),
+            ],
+        ),
+        capacity=4,
+    )
+    table.append_rows(list(zip(ids, owners)))
+    for row in deleted:
+        table.mark_deleted(row)
+    return db
+
+
+class TestColumnarIndexBuild:
+    def test_duplicate_key_names_the_key(self, layout):
+        db = acct_with(layout, [3, 7, 3], ["a", "b", "c"])
+        with pytest.raises(IndexError_, match=r"duplicate key 3 in unique index 'pk'"):
+            db.create_index("pk", "acct", ["id"])
+        assert "pk" not in db.indexes
+
+    def test_duplicate_composite_key_named(self, layout):
+        db = acct_with(layout, [1, 2, 1], ["x", "y", "x"])
+        with pytest.raises(IndexError_, match=r"duplicate key \(1, 'x'\)"):
+            db.create_index("pk", "acct", ["id", "owner"])
+
+    def test_tombstoned_rows_skipped(self, layout):
+        db = acct_with(layout, [3, 7, 3, 9], ["a", "b", "a", "b"], deleted=[0])
+        pk = db.create_index("pk", "acct", ["id"])
+        by_owner = db.create_index("by_owner", "acct", ["owner"], unique=False)
+        assert dict(pk.items()) == {7: 1, 3: 2, 9: 3}
+        assert list(pk.items())[0] == (7, 1)  # row order, tombstone gone
+        assert by_owner.probe_all("a") == [2]
+        assert by_owner.probe_all("b") == [1, 3]
+
+    def test_multi_index_rows_ascend(self, layout):
+        owners = ["b", "a", "b", "a", "c", "b", "a"]
+        db = acct_with(layout, list(range(7)), owners, deleted=[3])
+        ix = db.create_index("by_owner", "acct", ["owner"], unique=False)
+        assert list(ix.mapping) == ["b", "a", "c"]  # first-seen order
+        assert ix.probe_all("a") == [1, 6]
+        assert ix.probe_all("b") == [0, 2, 5]
+        for rows in ix.mapping.values():
+            assert rows == sorted(rows)
+
+    def test_keys_are_python_scalars(self, layout):
+        db = acct_with(layout, [3, 7], ["a", "b"])
+        db.table("acct").write("owner", 1, np.str_("z"))
+        ix = db.create_index("by_owner", "acct", ["owner", "id"], unique=False)
+        assert [tuple(map(type, key)) for key in ix.mapping] == [(str, int)] * 2
+
+
+class TestCloneIsolation:
+    def test_original_changes_do_not_reach_clone(self, layout):
+        db = build_db(layout)
+        clone = db.clone()
+        adapter = StoreAdapter(db)
+        adapter.write("acct", "balance", 0, 999)
+        adapter.delete("acct", 1)
+        adapter.insert("acct", (40, 2, 400))
+        db.static_maps["alias"]["second"] = 20
+        assert clone.table("acct").read("balance", 0) == 100
+        assert not clone.table("acct").is_deleted(1)
+        assert clone.table("acct").n_rows == 3
+        assert clone.index("acct_pk").probe(20) == 1
+        assert clone.index("acct_pk").probe(40) == -1
+        assert clone.index("acct_by_owner").probe_all(2) == [2]
+        assert "second" not in clone.static_maps["alias"]
+
+    def test_clone_changes_do_not_reach_original(self, layout):
+        db = build_db(layout)
+        clone = db.clone()
+        adapter = StoreAdapter(clone)
+        adapter.write("acct", "balance", 2, -1)
+        adapter.delete("acct", 0)
+        adapter.insert("acct", (50, 1, 500))
+        clone.static_maps["alias"]["first"] = 99
+        assert db.table("acct").read("balance", 2) == 300
+        assert not db.table("acct").is_deleted(0)
+        assert db.table("acct").n_rows == 3
+        assert db.index("acct_pk").probe(10) == 0
+        assert db.index("acct_pk").probe(50) == -1
+        assert db.index("acct_by_owner").probe_all(1) == [0, 1]
+        assert db.static_maps["alias"]["first"] == 10
+
+    def test_clone_keeps_tombstones_layout_and_capacity(self, layout):
+        db = build_db(layout)
+        db.table("acct").mark_deleted(1)
+        clone = db.clone()
+        assert clone.layout == layout
+        assert clone.physical_state() == db.physical_state()
+        assert clone.index("acct_pk").probe(20) == -1
+        # Room for 64 rows before the first regrowth, as before.
+        assert len(clone.table("acct").deleted_mask()) == 3
+        assert clone.table("acct").column_array("id").base.shape == (64,)
 
 
 class TestStoreAdapter:

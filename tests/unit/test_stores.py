@@ -80,6 +80,19 @@ class TestCommonBehaviour:
         assert table.n_rows == 5
         assert table.read("name", 3) == "d"
 
+    def test_bulk_loads_grow_tombstones_geometrically(self, table):
+        """Small batches into a full table regrow the tombstone bitmap
+        1.5x at a time (not to the exact size, which recopies it on
+        every batch) and keep the tombstones already set."""
+        capacities = set()
+        for i in range(200):
+            table.append_columns({"id": [i], "value": [0.0], "name": ["x"]})
+            if i == 2:
+                table.mark_deleted(1)
+            capacities.add(len(table.deleted_mask().base))
+        assert len(capacities) <= 6
+        assert table.deleted_mask().nonzero()[0].tolist() == [1]
+
     def test_bulk_load_validates_columns(self, table):
         with pytest.raises(StorageError):
             table.append_columns({"id": np.arange(3)})
