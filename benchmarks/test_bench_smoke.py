@@ -5,8 +5,8 @@ figure function it uses is executed end to end on a tiny configuration
 (``REPRO_BENCH_SMOKE=1`` shrinks every ``scaled()`` size), asserting
 the reproduced series is well-formed. The point is rot detection, not
 performance: any API drift between the library and a bench breaks CI
-in seconds instead of surfacing months later when someone regenerates
-EXPERIMENTS.md.
+in seconds instead of surfacing months later when someone reruns the
+figures of docs/BENCHMARKS.md.
 
 These tests carry the ``smoke`` marker and are deselected by default
 (``addopts = -m "not smoke"``); the CI smoke job opts back in with

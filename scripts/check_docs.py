@@ -1,26 +1,33 @@
 #!/usr/bin/env python
 """Keep the documentation executable and internally consistent.
 
-Two checks over ``README.md`` and ``docs/*.md``:
+Three checks:
 
-1. **Doctests** -- every fenced code block containing ``>>>`` examples
+1. **Doctests** -- in ``README.md`` and ``docs/*.md``, every fenced
+   code block containing ``>>>`` examples
    is run through :mod:`doctest` (ELLIPSIS and NORMALIZE_WHITESPACE
    enabled; blocks of one file share a namespace, so a later block can
    reuse an earlier block's variables). Examples in the docs are
    therefore guaranteed to run against the current API.
-2. **Intra-repo links** -- every relative markdown link target must
-   exist on disk (http(s)/mailto/anchor links are skipped), so a
-   renamed file breaks CI instead of leaving dead links.
+2. **Intra-repo links** -- in the same files, every relative markdown
+   link target must exist on disk (http(s)/mailto/anchor links are
+   skipped), so a renamed file breaks CI instead of leaving dead links.
+3. **Docstring references** -- every ``*.md`` file named in a module
+   docstring under ``src/repro/`` or ``benchmarks/`` must exist,
+   resolved against the repository root (``docs/ARCHITECTURE.md``).
 
 Usage::
 
     PYTHONPATH=src python scripts/check_docs.py [files...]
+
+Given files, only checks 1 and 2 run, on those files.
 
 Exit status 0 when everything passes, 1 otherwise.
 """
 
 from __future__ import annotations
 
+import ast
 import doctest
 import glob
 import re
@@ -32,6 +39,10 @@ _FENCE = re.compile(r"^```")
 #: Markdown link target, with or without an optional "title" part.
 _LINK = re.compile(r"\[[^\]\[]*\]\(\s*([^)\s]+)(?:\s+\"[^\"]*\")?\s*\)")
 _OPTIONFLAGS = doctest.ELLIPSIS | doctest.NORMALIZE_WHITESPACE
+#: A markdown file named in prose, e.g. ``docs/WORKLOADS.md``.
+_MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
+#: Where check 3 looks for module docstrings, relative to the repo root.
+_DOCSTRING_ROOTS = ("src/repro", "benchmarks")
 
 
 def fenced_blocks(text: str) -> List[Tuple[int, str]]:
@@ -89,6 +100,21 @@ def check_links(path: Path) -> List[str]:
     return problems
 
 
+def check_docstring_refs(repo_root: Path) -> List[str]:
+    """``*.md`` names in module docstrings that do not exist on disk."""
+    problems = []
+    for root in _DOCSTRING_ROOTS:
+        for module in sorted((repo_root / root).rglob("*.py")):
+            tree = ast.parse(module.read_text(encoding="utf-8"))
+            for name in _MD_NAME.findall(ast.get_docstring(tree) or ""):
+                if not (repo_root / name).exists():
+                    problems.append(
+                        f"{module.relative_to(repo_root)}: docstring "
+                        f"names missing {name}"
+                    )
+    return problems
+
+
 def main(argv: List[str]) -> int:
     repo_root = Path(__file__).resolve().parent.parent
     if argv:
@@ -109,6 +135,8 @@ def main(argv: List[str]) -> int:
             1 for _ln, body in fenced_blocks(path.read_text()) if ">>>" in body
         )
         problems.extend(check_links(path))
+    if not argv:
+        problems.extend(check_docstring_refs(repo_root))
     for problem in problems:
         print(problem)
     print(

@@ -41,9 +41,6 @@ from repro.core.strategies.relaxed import (
 from repro.core.strategies.tpl import TplExecutor
 from repro.core.txn import ResultPool, Transaction, TransactionPool
 from repro.errors import ConfigError
-from repro.gpu.costmodel import PERF_HANDICAP_ENV  # noqa: F401  (re-export:
-# the perf-canary env knob historically lived here; the scaling now
-# happens at the kernel-timing source in repro.gpu.costmodel.)
 from repro.gpu.primitives import PrimitiveLibrary
 from repro.gpu.simt import SIMTEngine
 from repro.gpu.spec import C1060, GPUSpec

@@ -3,7 +3,7 @@
 The op vocabulary is canonically defined in the GPU package (it is the
 instruction set of the simulated device and the GPU package must not
 depend on the rest of the library); this module re-exports it under the
-``repro.core`` namespace for the layout documented in DESIGN.md.
+``repro.core`` namespace for the layer map in docs/ARCHITECTURE.md.
 """
 
 from repro.gpu.ops import (  # noqa: F401

@@ -1,7 +1,7 @@
 """The simulated GPU substrate (SIMT engine, cost model, primitives).
 
-This package substitutes for CUDA on the paper's NVIDIA Tesla C1060 --
-see DESIGN.md for the substitution rationale. It never imports from the
+This package substitutes for CUDA on the paper's NVIDIA Tesla C1060
+(the GPU model row of docs/ARCHITECTURE.md). It never imports from the
 rest of the library, so it can be reused standalone.
 """
 

@@ -10,13 +10,14 @@ Every workload module (micro, TM1, TPC-B, TPC-C) follows one contract:
 so benches and examples can swap workloads freely. This module holds
 the common random generators (the skewed "first lock with probability
 alpha" distribution of Section 6.1, NURand for TPC-C, deterministic
-string pools).
+string pools) and :class:`StreamDraws`, which lets a loader take a
+Generator's scalar draws in bulk.
 """
 
 from __future__ import annotations
 
-import string
-from typing import Callable, List, Sequence, Tuple
+import operator
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +31,119 @@ TimedTxnSpec = Tuple[str, tuple, float]
 def make_rng(seed: int) -> np.random.Generator:
     """The single RNG entry point -- keeps workloads reproducible."""
     return np.random.default_rng(seed)
+
+
+class StreamDraws:
+    """A Generator's scalar draws, replayed from its raw PCG64 words.
+
+    A loader whose draw sequence depends on earlier draws (a coin flip
+    decides whether the next value is drawn) cannot ask NumPy for one
+    array, and one scalar ``rng.integers`` call per value costs one to
+    two microseconds of call overhead. This class reads the generator's
+    64-bit words in blocks (``random_raw`` on a private PCG64 copy of
+    its state) and returns exactly what the Generator's own scalar
+    calls would have returned:
+
+    * :meth:`integers` -- NumPy's 32-bit Lemire bounded draw, with its
+      rejection loop, fed by PCG64's half-word buffer (the low half of
+      a word is returned first, the high half is kept for the next
+      32-bit draw);
+    * :meth:`random` / :meth:`uniform` -- a 53-bit double from one
+      whole word, which leaves the half-word buffer alone.
+
+    :meth:`sync` writes the words consumed and the half-word buffer
+    back into the Generator, so direct Generator calls after it
+    continue the same stream; the next draw here re-reads the
+    Generator's state. Call it before every direct use of the
+    Generator.
+    """
+
+    _BLOCK = 1024
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        if type(rng.bit_generator) is not np.random.PCG64:
+            raise TypeError(
+                "StreamDraws replays PCG64 streams only, got "
+                f"{type(rng.bit_generator).__name__}; build the "
+                "generator with make_rng()"
+            )
+        self._rng = rng
+        self._stale = True
+
+    def _load(self) -> None:
+        state = self._rng.bit_generator.state
+        self._bits = np.random.PCG64()
+        self._bits.state = state
+        self._has_half = bool(state["has_uint32"])
+        self._half = int(state["uinteger"])
+        self._block: Iterator[int] = iter(())
+        self._next_word = self._block.__next__
+        self._read = 0
+        self._stale = False
+
+    def _refill(self) -> int:
+        """Read the next block of words; return its first word."""
+        self._block = iter(self._bits.random_raw(self._BLOCK).tolist())
+        self._next_word = self._block.__next__
+        self._read += self._BLOCK
+        return self._next_word()
+
+    def integers(self, low: int, high: int) -> int:
+        """``int(rng.integers(low, high))`` for ``high - low <= 2**32``."""
+        span = high - low
+        if not 0 < span <= 1 << 32:
+            raise ValueError(
+                f"need 0 < high - low <= 2**32, got [{low}, {high})"
+            )
+        if self._stale:
+            self._load()
+        if span == 1:
+            return low
+        # Lemire: scale a 32-bit value by span, reject the biased low
+        # products (NumPy skips the modulo when the product's low half
+        # is >= span, which cannot change the outcome: threshold < span).
+        threshold = (1 << 32) % span
+        while True:
+            if self._has_half:
+                self._has_half = False
+                value = self._half
+            else:
+                try:
+                    word = self._next_word()
+                except StopIteration:
+                    word = self._refill()
+                self._has_half = True
+                self._half = word >> 32
+                value = word & 0xFFFFFFFF
+            scaled = value * span
+            if (scaled & 0xFFFFFFFF) >= threshold:
+                return low + (scaled >> 32)
+
+    def random(self) -> float:
+        """``rng.random()``: the top 53 bits of one word, in [0, 1)."""
+        if self._stale:
+            self._load()
+        try:
+            word = self._next_word()
+        except StopIteration:
+            word = self._refill()
+        return (word >> 11) * (1.0 / 9007199254740992.0)
+
+    def uniform(self, low: float, high: float) -> float:
+        """``rng.uniform(low, high)``: ``low + (high - low) * random()``."""
+        return low + (high - low) * self.random()
+
+    def sync(self) -> None:
+        """Hand the stream back to the Generator."""
+        if self._stale:
+            return
+        bits = self._rng.bit_generator
+        bits.advance(self._read - operator.length_hint(self._block))
+        state = bits.state
+        state["has_uint32"] = int(self._has_half)
+        state["uinteger"] = self._half
+        bits.state = state
+        self._stale = True
 
 
 def skewed_first_item(
@@ -333,12 +447,6 @@ def tpcc_last_name(num: int) -> str:
 def padded_number_string(value: int, width: int) -> str:
     """Fixed-width numeric string (TM1's sub_nbr representation)."""
     return str(value).zfill(width)
-
-
-def random_string(rng: np.random.Generator, length: int) -> str:
-    """Uppercase filler string of exactly ``length`` characters."""
-    letters = np.array(list(string.ascii_uppercase))
-    return "".join(letters[rng.integers(0, 26, size=length)])
 
 
 def choose_mix(

@@ -51,7 +51,6 @@ from repro.workloads.base import (
     TxnSpec,
     choose_mix,
     make_rng,
-    random_string,
     zipfian_items,
 )
 
@@ -60,6 +59,9 @@ SAVINGS = "sb_savings"
 CHECKING = "sb_checking"
 
 ACCOUNTS_PER_SF = 1_000
+NAME_LENGTH = 12
+#: Names drawn per RNG call while loading.
+_NAME_BLOCK = 1024
 INITIAL_SAVINGS = 1_000.0
 INITIAL_CHECKING = 100.0
 
@@ -102,14 +104,16 @@ def build_database(
         ),
         capacity=n,
     )
-    account.append_columns(
-        {
-            "custid": custids,
-            "name": np.array(
-                [random_string(rng, 12) for _ in range(n)], dtype=object
-            ),
-        }
-    )
+    # Uppercase filler names, one draw per letter, decoded from bytes.
+    # Consecutive draws over one range form one stream, so drawing in
+    # blocks gives the same names while bounding the transient arrays.
+    names = np.empty(n, dtype=object)
+    for start in range(0, n, _NAME_BLOCK):
+        size = (min(_NAME_BLOCK, n - start), NAME_LENGTH)
+        letters = rng.integers(0, 26, size=size) + ord("A")
+        block = letters.astype(np.uint8).view(f"S{NAME_LENGTH}").ravel()
+        names[start:start + size[0]] = block.astype(str)
+    account.append_columns({"custid": custids, "name": names})
 
     savings = db.create_table(
         TableSchema(

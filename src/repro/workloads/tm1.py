@@ -40,6 +40,7 @@ from repro.gpu import ops as op_ir
 from repro.storage.catalog import Database
 from repro.storage.schema import ColumnDef, DataType, TableSchema
 from repro.workloads.base import (
+    StreamDraws,
     TimedTxnSpec,
     TxnSpec,
     bursty_arrival_times,
@@ -118,12 +119,10 @@ def build_database(
         capacity=n_subs,
     )
     s_ids = np.arange(n_subs, dtype=np.int64)
+    sub_nbrs = [padded_number_string(s, SUB_NBR_WIDTH) for s in range(n_subs)]
     columns = {
         "s_id": s_ids,
-        "sub_nbr": np.array(
-            [padded_number_string(int(s), SUB_NBR_WIDTH) for s in s_ids],
-            dtype=object,
-        ),
+        "sub_nbr": np.array(sub_nbrs, dtype=object),
         "msc_location": rng.integers(1, 2**31, size=n_subs),
         "vlr_location": rng.integers(1, 2**31, size=n_subs),
     }
@@ -134,18 +133,14 @@ def build_database(
     subscriber.append_columns(columns)
 
     # -- ACCESS_INFO: 1..4 types per subscriber, each present ~62.5 % ---
-    ai_rows = {"s_id": [], "ai_type": [], "data1": [], "data2": [],
-               "data3": [], "data4": []}
+    # Rows are the present (s_id, ai_type) pairs in row-major order. Each
+    # row draws data1..data4 from [0, 2**8), [0, 2**8), [0, 2**12) and
+    # [0, 2**20): NumPy's bounded draw over a power-of-two range is the
+    # top bits of one 32-bit word, so one array of 32-bit words is the
+    # same stream as the four scalar draws per row.
     present_ai = rng.random((n_subs, 4)) < 0.625
-    for s in range(n_subs):
-        for ai_type in range(1, 5):
-            if present_ai[s, ai_type - 1]:
-                ai_rows["s_id"].append(s)
-                ai_rows["ai_type"].append(ai_type)
-                ai_rows["data1"].append(int(rng.integers(0, 256)))
-                ai_rows["data2"].append(int(rng.integers(0, 256)))
-                ai_rows["data3"].append(int(rng.integers(0, 4096)))
-                ai_rows["data4"].append(int(rng.integers(0, 2**20)))
+    ai_s, ai_t = np.nonzero(present_ai)
+    words = rng.integers(0, 2**32, size=(len(ai_s), 4))
     access_info = db.create_table(
         TableSchema(
             ACCESS_INFO,
@@ -160,37 +155,42 @@ def build_database(
             primary_key=("s_id", "ai_type"),
             partition_key="s_id",
         ),
-        capacity=max(64, len(ai_rows["s_id"])),
+        capacity=max(64, len(ai_s)),
     )
-    access_info.append_columns({k: np.asarray(v) for k, v in ai_rows.items()})
+    access_info.append_columns(
+        {
+            "s_id": ai_s,
+            "ai_type": ai_t + 1,
+            "data1": words[:, 0] >> 24,
+            "data2": words[:, 1] >> 24,
+            "data3": words[:, 2] >> 20,
+            "data4": words[:, 3] >> 12,
+        }
+    )
 
     # -- SPECIAL_FACILITY + CALL_FORWARDING ------------------------------
-    sf_rows = {"s_id": [], "sf_type": [], "is_active": [], "error_cntrl": [],
-               "data_a": [], "data_b": []}
-    cf_rows = {"s_id": [], "sf_type": [], "start_time": [], "end_time": [],
-               "numberx": []}
+    # Whether a facility has call-forwarding rows is a coin flip per
+    # start time, so the draws cannot be one array: replay them.
     present_sf = rng.random((n_subs, 4)) < 0.625
     active_sf = rng.random((n_subs, 4)) < 0.85
-    for s in range(n_subs):
-        for sf_type in range(1, 5):
-            if not present_sf[s, sf_type - 1]:
-                continue
-            sf_rows["s_id"].append(s)
-            sf_rows["sf_type"].append(sf_type)
-            sf_rows["is_active"].append(bool(active_sf[s, sf_type - 1]))
-            sf_rows["error_cntrl"].append(int(rng.integers(0, 256)))
-            sf_rows["data_a"].append(int(rng.integers(0, 256)))
-            sf_rows["data_b"].append(int(rng.integers(0, 256)))
-            for start in _START_TIMES:
-                if rng.random() < 0.5:
-                    cf_rows["s_id"].append(s)
-                    cf_rows["sf_type"].append(sf_type)
-                    cf_rows["start_time"].append(start)
-                    cf_rows["end_time"].append(start + int(rng.integers(1, 9)))
-                    cf_rows["numberx"].append(
-                        padded_number_string(int(rng.integers(0, 10**9)),
-                                             SUB_NBR_WIDTH)
-                    )
+    sf_s, sf_t = np.nonzero(present_sf)
+    draws = StreamDraws(rng)
+    integers, random = draws.integers, draws.random
+    sf_data = []
+    cf_sf, cf_start, cf_end, cf_numberx = [], [], [], []
+    for sf in range(len(sf_s)):
+        sf_data.append(
+            (integers(0, 256), integers(0, 256), integers(0, 256))
+        )
+        for start in _START_TIMES:
+            if random() < 0.5:
+                cf_sf.append(sf)
+                cf_start.append(start)
+                cf_end.append(start + integers(1, 9))
+                cf_numberx.append(
+                    padded_number_string(integers(0, 10**9), SUB_NBR_WIDTH)
+                )
+    sf_data = np.array(sf_data, dtype=np.int64).reshape(-1, 3)
     special_facility = db.create_table(
         TableSchema(
             SPECIAL_FACILITY,
@@ -205,9 +205,18 @@ def build_database(
             primary_key=("s_id", "sf_type"),
             partition_key="s_id",
         ),
-        capacity=max(64, len(sf_rows["s_id"])),
+        capacity=max(64, len(sf_s)),
     )
-    special_facility.append_columns({k: np.asarray(v) for k, v in sf_rows.items()})
+    special_facility.append_columns(
+        {
+            "s_id": sf_s,
+            "sf_type": sf_t + 1,
+            "is_active": active_sf[sf_s, sf_t],
+            "error_cntrl": sf_data[:, 0],
+            "data_a": sf_data[:, 1],
+            "data_b": sf_data[:, 2],
+        }
+    )
 
     call_forwarding = db.create_table(
         TableSchema(
@@ -222,11 +231,16 @@ def build_database(
             primary_key=("s_id", "sf_type", "start_time"),
             partition_key="s_id",
         ),
-        capacity=max(64, len(cf_rows["s_id"])),
+        capacity=max(64, len(cf_sf)),
     )
     call_forwarding.append_columns(
-        {k: np.asarray(v, dtype=object if k == "numberx" else None)
-         for k, v in cf_rows.items()}
+        {
+            "s_id": sf_s[cf_sf],
+            "sf_type": sf_t[cf_sf] + 1,
+            "start_time": np.array(cf_start, dtype=np.int64),
+            "end_time": np.array(cf_end, dtype=np.int64),
+            "numberx": np.array(cf_numberx, dtype=object),
+        }
     )
 
     # -- indexes + the static sub_nbr -> s_id map ------------------------
@@ -238,10 +252,7 @@ def build_database(
                     ["s_id", "sf_type", "start_time"])
     db.create_index("call_forwarding_by_sf", CALL_FORWARDING,
                     ["s_id", "sf_type"], unique=False)
-    db.create_static_map(
-        "sub_nbr_map",
-        {padded_number_string(int(s), SUB_NBR_WIDTH): int(s) for s in s_ids},
-    )
+    db.create_static_map("sub_nbr_map", dict(zip(sub_nbrs, range(n_subs))))
     return db
 
 

@@ -12,7 +12,7 @@ five types are written two-phase (abort checks complete before the
 first write -- NEW_ORDER validates every item id up front, the
 well-known H-Store rewrite), so no undo logging is required.
 
-**Documented deviation** (also in DESIGN.md): the paper partitions
+**Documented deviation**: the paper partitions
 TPC-C by the combined (warehouse, district) key. District-level
 partitioning is unsound for STOCK, which is shared by all ten districts
 of a warehouse (two districts' NEW_ORDERs write the same stock rows);
@@ -51,6 +51,7 @@ from repro.gpu import ops as op_ir
 from repro.storage.catalog import Database
 from repro.storage.schema import ColumnDef, DataType, TableSchema
 from repro.workloads.base import (
+    StreamDraws,
     TxnSpec,
     choose_mix,
     make_rng,
@@ -311,50 +312,65 @@ def build_database(
         }
     )
 
-    # Initial orders: all delivered except the newest third.
+    # Initial orders: all delivered except the newest third. Each
+    # district shuffles its customers, then every order draws its line
+    # count and (if delivered) carrier, and every line its item and (if
+    # undelivered) amount -- a data-dependent sequence, so the draws
+    # are replayed rather than taken as arrays.
+    n_o = init_orders_per_district
+    n_wd = n_w * DISTRICTS
+    undelivered_from = n_o * 2 // 3
+    delivered = np.tile(np.arange(n_o) < undelivered_from, n_wd)
+    o_c_id = np.empty((n_wd, n_o), dtype=np.int64)
+    ol_cnt, carrier, ol_i_id, ol_amount = [], [], [], []
+    draws = StreamDraws(rng)
+    integers, uniform = draws.integers, draws.uniform
+    for wd in range(n_wd):
+        draws.sync()
+        customer_perm = rng.permutation(customers_per_district)
+        o_c_id[wd] = customer_perm[np.arange(n_o) % customers_per_district]
+        for order in range(n_o):
+            lines = integers(5, 16)
+            ol_cnt.append(lines)
+            if order < undelivered_from:
+                carrier.append(integers(1, 11))
+                ol_i_id += [integers(0, n_items) for _ in range(lines)]
+                ol_amount += [0.0] * lines
+            else:
+                carrier.append(0)
+                for _ in range(lines):
+                    ol_i_id.append(integers(0, n_items))
+                    ol_amount.append(uniform(0.01, 9_999.99))
+    ol_cnt = np.array(ol_cnt, dtype=np.int64)
+    o_wd = np.repeat(np.arange(n_wd, dtype=np.int64), n_o)
+    o_id = np.tile(np.arange(n_o, dtype=np.int64), n_wd)
+    n_ol = int(ol_cnt.sum())
+    ol_order = np.repeat(np.arange(len(ol_cnt)), ol_cnt)
+    ol_first = np.cumsum(ol_cnt) - ol_cnt
     orders_cols = {
-        "o_w_id": [], "o_d_id": [], "o_id": [], "o_c_id": [],
-        "o_carrier_id": [], "o_ol_cnt": [],
+        "o_w_id": o_wd // DISTRICTS,
+        "o_d_id": o_wd % DISTRICTS + 1,
+        "o_id": o_id,
+        "o_c_id": o_c_id.ravel(),
+        "o_carrier_id": np.array(carrier, dtype=np.int64),
+        "o_ol_cnt": ol_cnt,
     }
-    no_cols = {"no_w_id": [], "no_d_id": [], "no_o_id": []}
+    no_cols = {
+        "no_w_id": orders_cols["o_w_id"][~delivered],
+        "no_d_id": orders_cols["o_d_id"][~delivered],
+        "no_o_id": o_id[~delivered],
+    }
     ol_cols = {
-        "ol_w_id": [], "ol_d_id": [], "ol_o_id": [], "ol_number": [],
-        "ol_i_id": [], "ol_supply_w_id": [], "ol_quantity": [],
-        "ol_amount": [], "ol_delivery_d": [],
+        "ol_w_id": orders_cols["o_w_id"][ol_order],
+        "ol_d_id": orders_cols["o_d_id"][ol_order],
+        "ol_o_id": o_id[ol_order],
+        "ol_number": np.arange(n_ol) - ol_first[ol_order] + 1,
+        "ol_i_id": np.array(ol_i_id, dtype=np.int64),
+        "ol_supply_w_id": orders_cols["o_w_id"][ol_order],
+        "ol_quantity": np.full(n_ol, 5, dtype=np.int64),
+        "ol_amount": np.array(ol_amount, dtype=np.float64),
+        "ol_delivery_d": delivered[ol_order].astype(np.int64),
     }
-    undelivered_from = init_orders_per_district * 2 // 3
-    for w in range(n_w):
-        for d in range(1, DISTRICTS + 1):
-            customer_perm = rng.permutation(customers_per_district)
-            for o_id in range(init_orders_per_district):
-                ol_cnt = int(rng.integers(5, 16))
-                delivered = o_id < undelivered_from
-                orders_cols["o_w_id"].append(w)
-                orders_cols["o_d_id"].append(d)
-                orders_cols["o_id"].append(o_id)
-                orders_cols["o_c_id"].append(
-                    int(customer_perm[o_id % customers_per_district])
-                )
-                orders_cols["o_carrier_id"].append(
-                    int(rng.integers(1, 11)) if delivered else 0
-                )
-                orders_cols["o_ol_cnt"].append(ol_cnt)
-                if not delivered:
-                    no_cols["no_w_id"].append(w)
-                    no_cols["no_d_id"].append(d)
-                    no_cols["no_o_id"].append(o_id)
-                for line in range(1, ol_cnt + 1):
-                    ol_cols["ol_w_id"].append(w)
-                    ol_cols["ol_d_id"].append(d)
-                    ol_cols["ol_o_id"].append(o_id)
-                    ol_cols["ol_number"].append(line)
-                    ol_cols["ol_i_id"].append(int(rng.integers(0, n_items)))
-                    ol_cols["ol_supply_w_id"].append(w)
-                    ol_cols["ol_quantity"].append(5)
-                    ol_cols["ol_amount"].append(
-                        0.0 if delivered else float(rng.uniform(0.01, 9_999.99))
-                    )
-                    ol_cols["ol_delivery_d"].append(1 if delivered else 0)
 
     orders = db.create_table(
         TableSchema(
@@ -370,9 +386,9 @@ def build_database(
             primary_key=("o_w_id", "o_d_id", "o_id"),
             partition_key="o_w_id",
         ),
-        capacity=max(64, len(orders_cols["o_id"])),
+        capacity=max(64, len(o_id)),
     )
-    orders.append_columns({k: np.asarray(v) for k, v in orders_cols.items()})
+    orders.append_columns(orders_cols)
 
     new_order = db.create_table(
         TableSchema(
@@ -387,7 +403,7 @@ def build_database(
         ),
         capacity=max(64, len(no_cols["no_o_id"])),
     )
-    new_order.append_columns({k: np.asarray(v) for k, v in no_cols.items()})
+    new_order.append_columns(no_cols)
 
     order_line = db.create_table(
         TableSchema(
@@ -406,9 +422,9 @@ def build_database(
             primary_key=("ol_w_id", "ol_d_id", "ol_o_id", "ol_number"),
             partition_key="ol_w_id",
         ),
-        capacity=max(64, len(ol_cols["ol_o_id"])),
+        capacity=max(64, n_ol),
     )
-    order_line.append_columns({k: np.asarray(v) for k, v in ol_cols.items()})
+    order_line.append_columns(ol_cols)
 
     db.create_index("warehouse_pk", WAREHOUSE, ["w_id"])
     db.create_index("district_pk", DISTRICT, ["d_w_id", "d_id"])

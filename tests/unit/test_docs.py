@@ -1,8 +1,9 @@
 """The docs checker itself, plus the repo's docs passing it.
 
 ``scripts/check_docs.py`` backs the CI docs lane: fenced ``>>>``
-examples in README.md and docs/*.md must run under doctest, and
-intra-repo links must resolve. These tests pin the checker's
+examples in README.md and docs/*.md must run under doctest,
+intra-repo links must resolve, and every ``*.md`` file a module
+docstring names must exist. These tests pin the checker's
 behaviour on synthetic inputs and run the real documentation through
 it so a drifted example fails tier-1 locally, not just in CI.
 """
@@ -70,10 +71,35 @@ class TestCheckerMechanics:
         assert check_docs.main([str(bad)]) == 1
         capsys.readouterr()
 
+    def test_docstring_naming_missing_doc_detected(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "GUIDE.md").write_text("# Guide\n")
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "ok.py").write_text('"""See docs/GUIDE.md."""\n')
+        (package / "gone.py").write_text(
+            '"""See DESIGN.md and docs/GUIDE.md."""\n'
+            'X = "OTHER.md is not a module docstring"\n'
+        )
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "bench.py").write_text(
+            '"""Results land in docs/RESULTS.md."""\n'
+        )
+        problems = check_docs.check_docstring_refs(tmp_path)
+        assert len(problems) == 2
+        assert "gone.py" in problems[0] and "DESIGN.md" in problems[0]
+        assert "bench.py" in problems[1] and "docs/RESULTS.md" in problems[1]
+
+
+def test_module_docstrings_name_existing_docs():
+    """Every ``*.md`` a module docstring points readers at exists."""
+    assert check_docs.check_docstring_refs(REPO_ROOT) == []
+
 
 @pytest.mark.parametrize(
     "doc",
-    ["README.md", "docs/ARCHITECTURE.md", "docs/BENCHMARKS.md"],
+    ["README.md", "docs/ARCHITECTURE.md", "docs/BENCHMARKS.md",
+     "docs/WORKLOADS.md"],
 )
 def test_repo_documentation_passes(doc, capsys):
     """The committed docs are executable and link-clean."""
